@@ -1,7 +1,7 @@
 //! Wire-protocol overhead on the Table 1 workload: the same prepared queries
 //! executed in-process vs over a loopback TCP connection.
 //!
-//! Four legs on the integrated dataspace at the bench scale:
+//! Five legs on the integrated dataspace at the bench scale:
 //!
 //! * **q1_in_process**: `PreparedQuery::execute` directly — the floor the wire
 //!   path is measured against;
@@ -13,7 +13,11 @@
 //!   the backpressure tax in its most visible form;
 //! * **insert_to_push**: commit one row and block until the standing-query
 //!   delta push arrives — the end-to-end write-to-notification latency of the
-//!   subscription path over the wire.
+//!   subscription path over the wire, on the subscriber's own connection;
+//! * **insert_to_push_cross**: the same, but the insert is sent on another
+//!   connection — the case a push writer woken by the commit serves, and the
+//!   one a session that only flushed pushes on its own request or read
+//!   timeout could not.
 
 use bench::{bench_scale, integrated_dataspace};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -80,7 +84,7 @@ fn table1_wire(c: &mut Criterion) {
         });
     }
 
-    // insert → push on its own connection, so the stream of deltas never
+    // The subscriber gets its own connection, so the stream of deltas never
     // interleaves with the other legs' responses.
     {
         let mut subscriber = wire::Client::connect(handle.local_addr()).expect("connect");
@@ -89,29 +93,24 @@ fn table1_wire(c: &mut Criterion) {
             .subscribe(feed, &iql::Params::new())
             .expect("subscribe");
         let next_id = Cell::new(5_000_000i64);
+        let await_push = |subscriber: &mut wire::Client| {
+            let push = subscriber
+                .recv_push(Duration::from_secs(5))
+                .expect("push channel healthy")
+                .expect("delta arrives");
+            assert_eq!(push.0, sub_id);
+        };
         group.bench_function("insert_to_push", |b| {
             b.iter(|| {
-                let id = next_id.get();
-                next_id.set(id + 1);
-                subscriber
-                    .insert(
-                        "pedro",
-                        "protein",
-                        vec![vec![
-                            id.into(),
-                            format!("WIRE{id}").into(),
-                            "bench".into(),
-                            "E. remoti".into(),
-                            Value::Float(1.0),
-                            Value::Null,
-                        ]],
-                    )
-                    .expect("insert commits");
-                let push = subscriber
-                    .recv_push(Duration::from_secs(5))
-                    .expect("push channel healthy")
-                    .expect("delta arrives");
-                assert_eq!(push.0, sub_id);
+                insert_protein(&mut subscriber, &next_id);
+                await_push(&mut subscriber);
+            })
+        });
+        let mut writer = client.borrow_mut();
+        group.bench_function("insert_to_push_cross", |b| {
+            b.iter(|| {
+                insert_protein(&mut writer, &next_id);
+                await_push(&mut subscriber);
             })
         });
         subscriber.close().expect("clean close");
@@ -120,6 +119,26 @@ fn table1_wire(c: &mut Criterion) {
     group.finish();
     client.into_inner().close().expect("clean close");
     handle.shutdown();
+}
+
+/// Commit one fresh protein row (the accession feed pushes one delta).
+fn insert_protein(client: &mut wire::Client, next_id: &Cell<i64>) {
+    let id = next_id.get();
+    next_id.set(id + 1);
+    client
+        .insert(
+            "pedro",
+            "protein",
+            vec![vec![
+                id.into(),
+                format!("WIRE{id}").into(),
+                "bench".into(),
+                "E. remoti".into(),
+                Value::Float(1.0),
+                Value::Null,
+            ]],
+        )
+        .expect("insert commits");
 }
 
 criterion_group!(benches, table1_wire);

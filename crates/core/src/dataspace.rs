@@ -952,7 +952,7 @@ impl Dataspace {
         inner.synced = Some(version);
         inner.scheme_deps = scheme_deps;
         if push_refresh {
-            inner.updates.push(SubscriptionUpdate::Refreshed(result));
+            inner.queue(SubscriptionUpdate::Refreshed(result));
         }
         Ok(())
     }
@@ -1088,7 +1088,7 @@ impl Dataspace {
         }
         inner.synced = Some(post_version);
         if !delta_bag.is_empty() {
-            inner.updates.push(SubscriptionUpdate::Delta(delta_bag));
+            inner.queue(SubscriptionUpdate::Delta(delta_bag));
         }
         self.subscriptions
             .delta_evals
@@ -1746,6 +1746,58 @@ mod tests {
             vec![SubscriptionUpdate::Refreshed(Value::Int(3))]
         );
         assert_eq!(ds.stats().fallback_reexecs, 1);
+    }
+
+    #[test]
+    fn queued_updates_ring_the_push_signal() {
+        use crate::subscriptions::PushSignal;
+        let mut ds = dataspace();
+        let signal = Arc::new(PushSignal::default());
+        // One signal shared by an O(delta) subscription and a re-executed one.
+        let feed = ds
+            .prepare("[x | {k, x} <- <<PEDRO_protein, PEDRO_accession_num>>]")
+            .unwrap()
+            .subscribe(&Params::new())
+            .unwrap();
+        let count = ds
+            .prepare("count <<PEDRO_protein>>")
+            .unwrap()
+            .subscribe(&Params::new())
+            .unwrap();
+        feed.wake_on(Arc::clone(&signal));
+        count.wake_on(Arc::clone(&signal));
+        let waiter = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || {
+                // Rings coalesce and may land between the two subscriptions'
+                // updates: wait again until both have arrived.
+                let (mut deltas, mut refreshes) = (Vec::new(), Vec::new());
+                while deltas.is_empty() || refreshes.is_empty() {
+                    signal.wait();
+                    deltas.extend(feed.drain_updates());
+                    refreshes.extend(count.drain_updates());
+                }
+                (deltas, refreshes)
+            })
+        };
+        ds.insert(
+            "pedro",
+            "protein",
+            vec![3.into(), "ACC3".into(), "Rattus norvegicus".into()],
+        )
+        .unwrap();
+        // A ring before the waiter arrives is not lost: the flag stays set.
+        let (deltas, refreshes) = waiter.join().unwrap();
+        assert_eq!(
+            deltas,
+            vec![SubscriptionUpdate::Delta(Bag::from_values(vec![
+                Value::str("ACC3")
+            ]))]
+        );
+        assert_eq!(
+            refreshes,
+            vec![SubscriptionUpdate::Refreshed(Value::Int(3))]
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ use relational::store::TableDelta;
 use relational::Database;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, Weak};
 
 /// One change notification pushed to a subscriber (see
 /// [`Subscription::drain_updates`]).
@@ -92,6 +92,13 @@ impl Subscription {
         std::mem::take(&mut self.state.lock().updates)
     }
 
+    /// Ring `signal` whenever an update is queued from now on (one signal may
+    /// serve many subscriptions). The committing thread only rings: whoever
+    /// waits on the signal drains the updates and delivers them.
+    pub fn wake_on(&self, signal: Arc<PushSignal>) {
+        self.state.lock().wake = Some(signal);
+    }
+
     /// Whether the subscription currently holds a standing plan — i.e. whether
     /// inserts touching only its lead extent are absorbed in O(delta) instead
     /// of re-executing.
@@ -101,6 +108,35 @@ impl Subscription {
 
     pub(crate) fn from_state(state: Arc<SubState>) -> Self {
         Subscription { state }
+    }
+}
+
+/// A wake-up for a thread that delivers subscription updates: the
+/// dataspace [`ring`](PushSignal::ring)s it when it queues an update on a
+/// subscription registered with [`Subscription::wake_on`], and the delivering
+/// thread blocks in [`wait`](PushSignal::wait). Rings coalesce: one wake-up
+/// may stand for many queued updates, so the waiter drains everything.
+#[derive(Debug, Default)]
+pub struct PushSignal {
+    rung: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl PushSignal {
+    /// Mark updates pending and wake the waiter. Never blocks on the waiter.
+    pub fn ring(&self) {
+        *self.rung.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.wake.notify_one();
+    }
+
+    /// Block until the signal has been rung since the last `wait`, then
+    /// clear it.
+    pub fn wait(&self) {
+        let mut rung = self.rung.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*rung {
+            rung = self.wake.wait(rung).unwrap_or_else(PoisonError::into_inner);
+        }
+        *rung = false;
     }
 }
 
@@ -128,7 +164,19 @@ pub(crate) struct SubInner {
     /// scheme must be treated as affected by **every** insert.
     pub(crate) scheme_deps: BTreeMap<String, Option<BTreeSet<(String, String)>>>,
     /// Updates pushed since the subscriber last drained.
-    pub(crate) updates: Vec<SubscriptionUpdate>,
+    updates: Vec<SubscriptionUpdate>,
+    /// Rung on every queued update (see [`Subscription::wake_on`]).
+    wake: Option<Arc<PushSignal>>,
+}
+
+impl SubInner {
+    /// Queue an update for the subscriber and ring its signal, if any.
+    pub(crate) fn queue(&mut self, update: SubscriptionUpdate) {
+        self.updates.push(update);
+        if let Some(signal) = &self.wake {
+            signal.ring();
+        }
+    }
 }
 
 impl SubState {
@@ -142,6 +190,7 @@ impl SubState {
                 synced: None,
                 scheme_deps: BTreeMap::new(),
                 updates: Vec::new(),
+                wake: None,
             }),
         }
     }

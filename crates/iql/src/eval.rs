@@ -121,10 +121,9 @@
 //! expressions rather than plain variables — falls back to exactly the nested-loop
 //! semantics, and every planned step preserves nested-loop **output order** (outer
 //! order first, inner source order within a key group), so planned and naive
-//! evaluation produce identical bags, duplicates and all — with the one exception
-//! of `NaN` join keys, where the filter's `=` (which treats `NaN` as equal to every
-//! float, see [`crate::value`]) and the hash probe disagree; extents of wrapped
-//! sources never contain `NaN`. [`Evaluator::with_nested_loops`] disables planning
+//! evaluation produce identical bags, duplicates and all (`NaN` join keys
+//! included: the filter's `=` and the hash probe both make `NaN` equal only to
+//! `NaN`, see [`crate::value`]). [`Evaluator::with_nested_loops`] disables planning
 //! entirely; the property-test suite uses it as the reference semantics, and the
 //! benches use it to measure the planner's win.
 //!

@@ -13,7 +13,7 @@ use crate::env::{literal_value, Env};
 use crate::error::EvalError;
 use crate::eval::{Evaluator, ExtentProvider};
 use crate::physical::column::{Batch, Bitmap, ColRef, Column, ColumnBuilder};
-use crate::value::{Bag, Value};
+use crate::value::{float_cmp, Bag, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -324,11 +324,6 @@ fn resolve<'a>(operand: &COperand, batch: &'a Batch, env: &Env) -> Result<Resolv
     }
 }
 
-/// [`Value`]'s total float ordering (`NaN` equal to every float).
-fn float_ord(a: f64, b: f64) -> Ordering {
-    a.partial_cmp(&b).unwrap_or(Ordering::Equal)
-}
-
 /// Run one comparison kernel, clearing rejected rows from `sel`. Typed column
 /// pairs compare over the raw vectors; anything else materialises values and
 /// uses [`Value`]'s total ordering — either way the decision matches the row
@@ -343,15 +338,15 @@ fn filter_cmp(op: CmpOp, lhs: &Resolved<'_>, rhs: &Resolved<'_>, sel: &mut Bitma
             }
             (Int(v), Value::Float(k)) => {
                 let (s, k) = (l.start, *k);
-                return sel.retain(|i| op.accepts(float_ord(v[s + i] as f64, k)));
+                return sel.retain(|i| op.accepts(float_cmp(v[s + i] as f64, k)));
             }
             (Float(v), Value::Int(k)) => {
                 let (s, k) = (l.start, *k as f64);
-                return sel.retain(|i| op.accepts(float_ord(v[s + i], k)));
+                return sel.retain(|i| op.accepts(float_cmp(v[s + i], k)));
             }
             (Float(v), Value::Float(k)) => {
                 let (s, k) = (l.start, *k);
-                return sel.retain(|i| op.accepts(float_ord(v[s + i], k)));
+                return sel.retain(|i| op.accepts(float_cmp(v[s + i], k)));
             }
             (Str(v), Value::Str(k)) => {
                 let s = l.start;
@@ -377,15 +372,15 @@ fn filter_cmp(op: CmpOp, lhs: &Resolved<'_>, rhs: &Resolved<'_>, sel: &mut Bitma
             }
             (Float(a), Float(b)) => {
                 let (ls, rs) = (l.start, r.start);
-                return sel.retain(|i| op.accepts(float_ord(a[ls + i], b[rs + i])));
+                return sel.retain(|i| op.accepts(float_cmp(a[ls + i], b[rs + i])));
             }
             (Int(a), Float(b)) => {
                 let (ls, rs) = (l.start, r.start);
-                return sel.retain(|i| op.accepts(float_ord(a[ls + i] as f64, b[rs + i])));
+                return sel.retain(|i| op.accepts(float_cmp(a[ls + i] as f64, b[rs + i])));
             }
             (Float(a), Int(b)) => {
                 let (ls, rs) = (l.start, r.start);
-                return sel.retain(|i| op.accepts(float_ord(a[ls + i], b[rs + i] as f64)));
+                return sel.retain(|i| op.accepts(float_cmp(a[ls + i], b[rs + i] as f64)));
             }
             (Str(a), Str(b)) => {
                 let (ls, rs) = (l.start, r.start);

@@ -10,10 +10,9 @@
 //! `subbag_of`) run on hash-based multiplicity counts. `Value` implements [`Hash`]
 //! consistently with its (numeric-coercing) `Eq`: `Int(2)` and `Float(2.0)` compare
 //! equal and therefore hash identically, via the normalised bit pattern of the value
-//! as an `f64`. The one unavoidable wart is `NaN`, which the pre-existing `Ord` treats
-//! as equal to every float; hash-based ops canonicalise `NaN` to a single bucket, so
-//! bags containing `NaN` may differ from the ordering-based reference semantics.
-//! Queries over real extents never produce `NaN`.
+//! as an `f64`. `NaN` is equal only to `NaN` (every payload alike) and sorts above every
+//! number, and `-0.0 == 0.0`; the hash canonicalises both the same way, so ordering,
+//! equality and hash-based ops agree on every float.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -168,9 +167,9 @@ impl Ord for Value {
             (Null, Null) | (Void, Void) | (Any, Any) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
+            (Float(a), Float(b)) => float_cmp(*a, *b),
+            (Int(a), Float(b)) => float_cmp(*a as f64, *b),
+            (Float(a), Int(b)) => float_cmp(*a, *b as f64),
             (Str(a), Str(b)) => a.cmp(b),
             (Tuple(a), Tuple(b)) => a[..].cmp(&b[..]),
             (Bag(a), Bag(b)) => a.canonical().cmp(&b.canonical()),
@@ -179,9 +178,17 @@ impl Ord for Value {
     }
 }
 
+/// `Value`'s total order on floats: the IEEE order, with every `NaN` equal to
+/// every other `NaN` and above every number (so `-0.0 == 0.0` still holds).
+/// Equality is transitive and matches [`float_hash_bits`].
+pub(crate) fn float_cmp(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Normalise a float for hashing so that hash-equality follows `Eq`:
-/// `-0.0 == 0.0` and `Int(n) == Float(n as f64)` must hash identically. `NaN`
-/// canonicalises to one bit pattern (see the module docs for the caveat).
+/// `-0.0 == 0.0` and `Int(n) == Float(n as f64)` must hash identically, and
+/// every `NaN` canonicalises to one bit pattern.
 fn float_hash_bits(f: f64) -> u64 {
     if f == 0.0 {
         0.0f64.to_bits()

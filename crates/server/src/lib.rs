@@ -8,10 +8,11 @@
 //!   thread; each admitted connection gets its own session thread (the
 //!   connection cap bounds the pool).
 //! - A session (internal) re-prepares its held query texts
-//!   through the dataspace's parse memo per request, streams bag results in
-//!   bounded chunks advanced only by client `NextChunk` acks, and drains
-//!   standing-subscription updates into server-push frames between socket
-//!   polls — no async runtime, just read timeouts.
+//!   through the dataspace's parse memo per request and streams bag results
+//!   in bounded chunks advanced only by client `NextChunk` acks. A session
+//!   holding subscriptions also runs a push-writer thread, woken by the
+//!   committing thread, which writes each update as a server-push frame as
+//!   soon as it is committed — no async runtime, no polling.
 //! - Admission control: connections over `max_connections` are turned away
 //!   with a `ServerBusy` frame; engine work shares `exec_permits` slots and a
 //!   request that cannot get one within `request_timeout` is answered

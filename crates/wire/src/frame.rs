@@ -137,7 +137,7 @@ pub fn write_frame(
 /// The reader owns a buffer that survives timeouts: a read that returns
 /// `WouldBlock`/`TimedOut` mid-frame keeps the partial bytes, and the next
 /// [`FrameReader::poll`] resumes where it left off — the caller can interleave
-/// other work (a server session drains subscription pushes between polls)
+/// other work between polls (the client waits for pushes in bounded slices)
 /// without ever losing frame alignment.
 #[derive(Debug, Default)]
 pub struct FrameReader {

@@ -96,9 +96,10 @@ fn batch_size_boundary_rows_survive_morsel_streaming() {
 #[test]
 fn nan_and_signed_zero_float_keys_hash_consistently() {
     // `Value`'s hash canonicalises every NaN to one bit pattern and -0.0 to
-    // 0.0, and its total order treats NaN as equal to everything it meets —
-    // the typed float kernels and probe-key extraction must reproduce exactly
-    // the row engine's bucket membership and comparison outcomes.
+    // 0.0, and its total order makes NaN equal only to NaN (above every
+    // number) — the typed float kernels and probe-key extraction must
+    // reproduce exactly the row engine's bucket membership and comparison
+    // outcomes.
     let keys = [f64::NAN, 0.0, -0.0, 1.5, -1.5, f64::NAN];
     let left: Vec<Value> = keys
         .iter()

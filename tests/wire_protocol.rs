@@ -102,6 +102,16 @@ fn full_surface_round_trip() {
     assert!(get("server_bytes_in") > 0);
     assert!(get("server_bytes_out") > 0);
     assert!(get("ds_plan_cache_hits") + get("ds_plan_cache_misses") > 0);
+    // Every `DataspaceStats` field is exported, capacities included.
+    assert!(get("ds_plan_cache_capacity") > 0);
+    assert!(get("ds_fetch_pool_capacity") > 0);
+    for name in [
+        "ds_histogram_refreshes",
+        "ds_index_refreshes",
+        "ds_index_len",
+    ] {
+        get(name);
+    }
 
     client.close().unwrap();
     handle.shutdown();
@@ -425,4 +435,58 @@ fn shutdown_is_graceful_with_live_sessions() {
         | ClientError::Frame(_) => {}
         other => panic!("expected ShuttingDown or a transport error, got {other}"),
     }
+}
+
+#[test]
+fn a_subscriber_that_stops_reading_hangs_neither_writers_nor_shutdown() {
+    let (handle, addr, _ds) = serve_default();
+
+    // A subscriber that never reads again after subscribing. It stays
+    // connected to the end: closing it would unblock the server by itself.
+    let mut subscriber = Client::connect(addr).unwrap();
+    let (h, _) = subscriber.prepare(INCREMENTAL_SHAPE).unwrap();
+    subscriber.subscribe(h, &Params::new()).unwrap();
+
+    // Commit 64 KiB batches until the subscriber's socket buffers are full:
+    // the server's push count stops moving while commits go on.
+    let mut writer = Client::connect(addr).unwrap();
+    let label = "x".repeat(4096);
+    let mut next_id = 10_000i64;
+    let mut commit = |writer: &mut Client| {
+        let rows = (0..16)
+            .map(|_| {
+                next_id += 1;
+                vec![next_id.into(), label.as_str().into()]
+            })
+            .collect();
+        writer.insert("alpha", "t", rows)
+    };
+    const STALLED: usize = 50;
+    let (mut pushes, mut unchanged) = (handle.stats().pushes_sent(), 0);
+    for _ in 0..1000 {
+        assert_eq!(commit(&mut writer).unwrap(), 16);
+        let now = handle.stats().pushes_sent();
+        unchanged = if now == pushes { unchanged + 1 } else { 0 };
+        pushes = now;
+        if unchanged == STALLED {
+            break;
+        }
+    }
+    assert_eq!(unchanged, STALLED, "the subscriber's buffers never filled");
+
+    // Commits on another connection are still acknowledged.
+    for _ in 0..5 {
+        assert_eq!(commit(&mut writer).unwrap(), 16);
+    }
+
+    // And shutdown still returns.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returned despite a subscriber that stopped reading");
+    drop(subscriber);
 }

@@ -11,12 +11,15 @@
 #[path = "wire_support/mod.rs"]
 mod wire_support;
 
+use std::collections::BTreeSet;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use iql::{Params, Value};
 use server::ServerConfig;
-use wire::{Client, PushUpdate};
+use wire::{encode_frame, Client, FrameReader, PushUpdate, Request, Response};
 
 use wire_support::{eventually, integrated, serve_with, ALPHA_SEED, BETA_SEED, INCREMENTAL_SHAPE};
 
@@ -267,5 +270,254 @@ fn mixed_subscribers_and_writers_stay_consistent() {
 
     assert_eq!(handle.stats().session_panics(), 0);
     subscriber.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn pushes_reach_another_connection_without_waiting_for_a_poll() {
+    const INSERTS: usize = 21;
+
+    let (handle, addr, _ds) = serve_with(ServerConfig::default());
+    let mut subscriber = Client::connect(addr).unwrap();
+    let (h, _) = subscriber.prepare(INCREMENTAL_SHAPE).unwrap();
+    let (sub_id, _) = subscriber.subscribe(h, &Params::new()).unwrap();
+
+    // Insert on one connection, time until the push lands on the other.
+    let mut writer = Client::connect(addr).unwrap();
+    let mut lags = Vec::with_capacity(INSERTS);
+    for i in 0..INSERTS {
+        let id = 700 + i as i64;
+        let sent = Instant::now();
+        writer
+            .insert(
+                "alpha",
+                "t",
+                vec![vec![id.into(), format!("LAG{i}").as_str().into()]],
+            )
+            .unwrap();
+        let push = subscriber.recv_push(Duration::from_secs(5)).unwrap();
+        lags.push(sent.elapsed());
+        assert_eq!(
+            push,
+            Some((
+                sub_id,
+                PushUpdate::Delta(vec![Value::str(format!("LAG{i}"))])
+            ))
+        );
+    }
+    lags.sort();
+    let median = lags[INSERTS / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median insert-to-push lag {median:?} (all: {lags:?})"
+    );
+
+    subscriber.close().unwrap();
+    writer.close().unwrap();
+    handle.shutdown();
+}
+
+/// A client speaking raw frames, so the test sees pushes and responses in
+/// the exact order the server wrote them.
+struct RawConn {
+    stream: TcpStream,
+    reader: FrameReader,
+    next_id: u64,
+}
+
+impl RawConn {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(5)))
+            .unwrap();
+        RawConn {
+            stream,
+            reader: FrameReader::new(),
+            next_id: 1,
+        }
+    }
+
+    fn send(&mut self, request: &Request) -> u64 {
+        use std::io::Write;
+        let id = self.next_id;
+        self.next_id += 1;
+        let frame = encode_frame(id, request.opcode() as u8, &request.encode_body());
+        self.stream.write_all(&frame).unwrap();
+        id
+    }
+
+    /// The next frame as `(request id, response)`, or `None` after `quiet`
+    /// passes without one.
+    fn next(&mut self, quiet: Duration) -> Option<(u64, Response)> {
+        let deadline = Instant::now() + quiet;
+        while Instant::now() < deadline {
+            if let Some(frame) = self.reader.poll(&mut self.stream).unwrap() {
+                let response = Response::decode(frame.opcode, &frame.body).unwrap();
+                return Some((frame.request_id, response));
+            }
+        }
+        None
+    }
+}
+
+/// Label of the `i`-th row the concurrent writer commits.
+fn ordered_label(i: usize) -> Value {
+    Value::str(format!("ORD{i}"))
+}
+
+/// Tracks one subscriber connection's view: which subscriptions are open or
+/// closed, and how far each open one has been pushed. Panics on any push
+/// that breaks the ordering contract.
+struct PushAudit {
+    /// The subscription currently open, and the index of the next row it
+    /// must be pushed.
+    open: Option<(u64, usize)>,
+    closed: BTreeSet<u64>,
+}
+
+impl PushAudit {
+    /// Account for one frame; returns the response if it was not a push.
+    fn frame(&mut self, id: u64, response: Response) -> Option<(u64, Response)> {
+        let Response::Push { sub_id, update } = response else {
+            return Some((id, response));
+        };
+        assert!(
+            !self.closed.contains(&sub_id),
+            "push for subscription {sub_id} after its Unsubscribed response"
+        );
+        let Some((open, next)) = &mut self.open else {
+            panic!("push for subscription {sub_id} before its Subscribed response");
+        };
+        assert_eq!(
+            *open, sub_id,
+            "push for {sub_id} before its Subscribed response"
+        );
+        let PushUpdate::Delta(rows) = update else {
+            panic!("identity-extent shape must take the O(delta) path");
+        };
+        // One single-row batch per push, each exactly once, in commit order.
+        assert_eq!(rows, vec![ordered_label(*next)], "subscription {sub_id}");
+        *next += 1;
+        None
+    }
+
+    /// Read frames until the response to `request`, auditing every push.
+    fn await_response(&mut self, conn: &mut RawConn, request: u64) -> Response {
+        loop {
+            let (id, frame) = conn
+                .next(Duration::from_secs(5))
+                .expect("response within 5 s");
+            if let Some((id, response)) = self.frame(id, frame) {
+                assert_eq!(id, request, "unexpected response {response:?}");
+                return response;
+            }
+        }
+    }
+}
+
+#[test]
+fn pushes_keep_commit_order_across_subscribe_unsubscribe_cycles() {
+    const CYCLES: usize = 25;
+
+    let (handle, addr, _ds) = serve_with(ServerConfig::default());
+
+    // A writer committing one single-row batch after another until told to
+    // stop; `committed` counts acknowledged batches.
+    let stop = Arc::new(AtomicBool::new(false));
+    let committed = Arc::new(AtomicUsize::new(0));
+    let writer = {
+        let (stop, committed) = (Arc::clone(&stop), Arc::clone(&committed));
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let mut i = 0;
+            while !stop.load(Ordering::SeqCst) {
+                client
+                    .insert(
+                        "alpha",
+                        "t",
+                        vec![vec![(50_000 + i as i64).into(), ordered_label(i)]],
+                    )
+                    .unwrap();
+                i += 1;
+                committed.store(i, Ordering::SeqCst);
+            }
+            client.close().unwrap();
+        })
+    };
+
+    let mut conn = RawConn::connect(addr);
+    let mut audit = PushAudit {
+        open: None,
+        closed: BTreeSet::new(),
+    };
+    let prepare = conn.send(&Request::Prepare {
+        text: INCREMENTAL_SHAPE.into(),
+    });
+    let Response::Prepared { handle: shape, .. } = audit.await_response(&mut conn, prepare) else {
+        panic!("prepare failed");
+    };
+
+    // Open a subscription; its initial result must hold the seed and then
+    // the writer's rows 0..n in order, so the first push must be row n.
+    let subscribe = |conn: &mut RawConn, audit: &mut PushAudit| {
+        let request = conn.send(&Request::Subscribe {
+            handle: shape,
+            params: Params::new(),
+        });
+        let Response::Subscribed { sub_id, initial } = audit.await_response(conn, request) else {
+            panic!("subscribe failed");
+        };
+        let Value::Bag(initial) = initial else {
+            panic!("bag-shaped standing result")
+        };
+        let rows = initial.into_items();
+        let written = rows.len() - ALPHA_SEED.len();
+        assert_eq!(
+            rows[ALPHA_SEED.len()..],
+            (0..written).map(ordered_label).collect::<Vec<_>>()[..]
+        );
+        audit.open = Some((sub_id, written));
+        sub_id
+    };
+    let unsubscribe = |conn: &mut RawConn, audit: &mut PushAudit, sub_id: u64| {
+        let request = conn.send(&Request::Unsubscribe { sub_id });
+        assert_eq!(audit.await_response(conn, request), Response::Unsubscribed);
+        audit.open = None;
+        audit.closed.insert(sub_id);
+    };
+
+    for _ in 0..CYCLES {
+        let sub_id = subscribe(&mut conn, &mut audit);
+        // Let a few commits land, auditing pushes as they come.
+        let until = Instant::now() + Duration::from_millis(5);
+        while Instant::now() < until {
+            if let Some((id, frame)) = conn.next(Duration::from_millis(1)) {
+                assert!(audit.frame(id, frame).is_none(), "unsolicited response");
+            }
+        }
+        unsubscribe(&mut conn, &mut audit, sub_id);
+    }
+
+    // A last subscription must see every batch up to the writer's final one.
+    let sub_id = subscribe(&mut conn, &mut audit);
+    stop.store(true, Ordering::SeqCst);
+    writer.join().expect("writer thread");
+    let total = committed.load(Ordering::SeqCst);
+    assert!(
+        total > CYCLES,
+        "the writer ran concurrently ({total} batches)"
+    );
+    while audit.open.expect("open").1 < total {
+        let (id, frame) = conn
+            .next(Duration::from_secs(5))
+            .expect("every committed batch is pushed");
+        assert!(audit.frame(id, frame).is_none(), "unsolicited response");
+    }
+    unsubscribe(&mut conn, &mut audit, sub_id);
+    // Nothing further arrives for any subscription.
+    assert!(conn.next(Duration::from_millis(100)).is_none());
+
+    assert_eq!(handle.stats().session_panics(), 0);
     handle.shutdown();
 }
