@@ -18,11 +18,10 @@ use crate::error::AutomedError;
 use crate::object::{ConstructKind, SchemaObject};
 use crate::schema::Schema;
 use hdm::{Edge, HdmSchema, Node};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a construct kind is encoded in the HDM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HdmEncoding {
     /// The construct becomes a single HDM node named after the scheme's last part
     /// (qualified by its parents).
@@ -33,7 +32,7 @@ pub enum HdmEncoding {
 }
 
 /// The definition of one construct of a modelling language.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstructDefinition {
     /// The construct kind being defined.
     pub kind: ConstructKind,
@@ -44,7 +43,7 @@ pub struct ConstructDefinition {
 }
 
 /// A modelling-language definition: a set of construct definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LanguageDefinition {
     /// Language name (e.g. `"sql"`).
     pub name: String,
@@ -82,7 +81,7 @@ impl LanguageDefinition {
 }
 
 /// The Model Definitions Repository: named language definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelDefinitions {
     languages: BTreeMap<String, LanguageDefinition>,
 }

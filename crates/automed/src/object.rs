@@ -1,7 +1,6 @@
 //! Schema objects.
 
 use iql::ast::SchemeRef;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The construct kind of a schema object within its modelling language.
@@ -10,7 +9,7 @@ use std::fmt;
 /// `Column`); `Element` and `Attribute` cover the simple XML-ish tree language defined
 /// in the MDR to demonstrate that the machinery is not relational-specific, and
 /// `Generic` covers constructs of user-defined languages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ConstructKind {
     /// A relational table (extent: bag of key values).
     Table,
@@ -37,7 +36,7 @@ impl fmt::Display for ConstructKind {
 }
 
 /// A schema object: a scheme plus its modelling-language classification.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SchemaObject {
     /// The scheme identifying the object, e.g. `⟨⟨protein, accession_num⟩⟩`.
     pub scheme: SchemeRef,

@@ -3,7 +3,6 @@
 use crate::error::AutomedError;
 use crate::schema::Schema;
 use crate::transformation::{Provenance, Transformation};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A pathway `S1 → S2`: an ordered sequence of primitive transformations that, applied
@@ -12,7 +11,7 @@ use std::fmt;
 /// A key property (inherited from the paper's substrate) is that pathways are
 /// *automatically reversible*: [`Pathway::reverse`] derives `S2 → S1` by reversing the
 /// step order and replacing each step by its dual ([`Transformation::reverse`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pathway {
     /// Name of the schema the pathway starts from.
     pub source: String,

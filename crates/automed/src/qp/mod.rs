@@ -21,7 +21,6 @@ pub mod gav;
 pub mod lav;
 
 use iql::ast::Expr;
-use serde::{Deserialize, Serialize};
 
 /// One contribution to the extent of a virtual (integrated-schema) object: an IQL
 /// query plus the source schema it is stated over.
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// `source = None` means the query is stated over the integrated schema itself (it
 /// references other virtual objects), which is how derived concepts such as the
 /// `⟨⟨uPeptideHitToProteinHit_mm⟩⟩` join of the case study are defined.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Contribution {
     /// The data source schema the query ranges over, or `None` for the integrated
     /// schema itself.

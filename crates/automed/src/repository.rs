@@ -3,7 +3,6 @@
 use crate::error::AutomedError;
 use crate::pathway::Pathway;
 use crate::schema::Schema;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The repository of all source, intermediate and integrated schemas and of the
@@ -13,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// automatically reversible, [`Repository::pathway_between`] searches the schema graph
 /// treating each stored pathway as a bidirectional edge and returns a composed pathway
 /// (reversing stored segments as needed).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Repository {
     schemas: BTreeMap<String, Schema>,
     pathways: Vec<Pathway>,

@@ -3,7 +3,6 @@
 use crate::error::AutomedError;
 use crate::object::SchemaObject;
 use iql::ast::SchemeRef;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -12,7 +11,7 @@ use std::fmt;
 /// Schemas are *value types*: pathway application produces new schemas rather than
 /// mutating shared state, which keeps the repository's history of source, intermediate
 /// and integrated schemas intact (as the STR does in the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// The schema's name, unique within a repository.
     pub name: String,

@@ -16,11 +16,10 @@ use crate::object::SchemaObject;
 use crate::schema::Schema;
 use iql::ast::{Expr, SchemeRef};
 use iql::pretty;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Who authored a transformation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// Defined by the data integrator / domain expert (counts towards integration
     /// effort).
@@ -30,7 +29,7 @@ pub enum Provenance {
 }
 
 /// A primitive schema transformation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Transformation {
     /// `add(o, q)` — add object `o`, whose extent equals the result of `q` over the
     /// rest of the schema.

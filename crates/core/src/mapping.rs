@@ -11,7 +11,6 @@ use crate::error::CoreError;
 use automed::{ConstructKind, SchemaObject, SchemeRef};
 use iql::ast::Expr;
 use iql::pretty;
-use serde::Serialize;
 
 /// One source's contribution to an intersection-schema object.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,7 +236,7 @@ impl IntersectionSpec {
 
 /// One row of the mappings table the tool displays: an intersection-schema object, one
 /// participating source, and the forward/reverse queries relating them.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappingRow {
     /// The intersection-schema object.
     pub target: String,
@@ -252,7 +251,7 @@ pub struct MappingRow {
 }
 
 /// The mappings table for one intersection schema.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MappingTable {
     /// The rows, in definition order.
     pub rows: Vec<MappingRow>,

@@ -7,10 +7,8 @@
 //! [`EffortReport`]), the pay-as-you-go curve points ([`PayAsYouGoPoint`]) and the
 //! head-to-head comparison ([`MethodologyComparison`]).
 
-use serde::Serialize;
-
 /// Effort spent in one iteration of the integration workflow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IterationEffort {
     /// Iteration number (0 = the initial federation, which costs nothing).
     pub iteration: usize,
@@ -27,7 +25,7 @@ pub struct IterationEffort {
 }
 
 /// The complete effort history of an integration session.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EffortReport {
     /// Per-iteration records, in order.
     pub iterations: Vec<IterationEffort>,
@@ -73,7 +71,7 @@ impl EffortReport {
 
 /// One point of the pay-as-you-go curve: after a given amount of cumulative manual
 /// effort, how many of the priority queries are answerable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PayAsYouGoPoint {
     /// Iteration number.
     pub iteration: usize,
@@ -96,7 +94,7 @@ impl PayAsYouGoPoint {
 /// the paper's headline numbers (26 manually-defined transformations for the
 /// intersection-schema integration vs 95 non-trivial transformations for the classical
 /// iSpider integration).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodologyComparison {
     /// Manually-defined transformations under the intersection-schema methodology.
     pub intersection_manual: usize,

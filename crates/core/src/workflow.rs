@@ -21,14 +21,13 @@ use crate::metrics::{IterationEffort, PayAsYouGoPoint};
 use iql::value::Value;
 use iql::Params;
 use relational::Database;
-use serde::Serialize;
 
 /// A named priority query driving the integration: parameterised query text
 /// (`?name` placeholders) plus the default bindings the workflow tests it
 /// under. One `PriorityQuery` is one query *shape* — the session prepares the
 /// text once and can re-execute it under [`PriorityQuery::params`] or any
 /// caller-supplied binding set, sharing one cached plan across all of them.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriorityQuery {
     /// Short name (e.g. `"Q1"`).
     pub name: String,
@@ -45,7 +44,7 @@ pub struct PriorityQuery {
 }
 
 /// The outcome of one workflow iteration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IterationOutcome {
     /// Effort record for the iteration.
     pub effort: IterationEffort,

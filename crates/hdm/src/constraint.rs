@@ -1,6 +1,5 @@
 //! HDM constraints.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A constraint over the extents of HDM schema elements.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The HDM constraint language is deliberately small; higher-level modelling languages
 /// compile their own integrity notions (primary keys, foreign keys, cardinalities)
 /// into combinations of these primitives.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Constraint {
     /// The extent of `sub` is contained (as a set) in the extent of `sup`.
     Inclusion { sub: String, sup: String },

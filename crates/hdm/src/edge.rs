@@ -1,6 +1,5 @@
 //! HDM hyperedges.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A reference to a participant of a hyperedge: either a node or another edge.
@@ -8,7 +7,7 @@ use std::fmt;
 /// HDM edges are *nested* hyperedges — an edge may connect not only nodes but also
 /// other edges, which is how higher-level constructs such as relational columns over
 /// multi-attribute keys are encoded.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HdmRef {
     /// Reference to a node by name.
     Node(String),
@@ -49,7 +48,7 @@ impl fmt::Display for HdmRef {
 /// An edge may be named or anonymous and connects one or more participants (nodes or
 /// other edges). Its extent is a bag of tuples whose arity equals the number of
 /// participants.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     /// Optional edge name. Anonymous edges are identified purely by their participants.
     pub name: Option<String>,

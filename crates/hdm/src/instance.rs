@@ -3,7 +3,6 @@
 use crate::error::HdmError;
 use crate::schema::HdmSchema;
 use crate::value::{HdmTuple, HdmValue};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An instance of an HDM schema: a bag of tuples per node/edge.
@@ -11,7 +10,7 @@ use std::collections::BTreeMap;
 /// Node extents hold 1-tuples; edge extents hold tuples whose arity equals the edge's
 /// number of participants. Bags are represented as `Vec`s — duplicates are meaningful
 /// (the integration layer uses bag-union semantics by default, as in the paper).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HdmInstance {
     extents: BTreeMap<String, Vec<HdmTuple>>,
 }

@@ -1,6 +1,5 @@
 //! HDM nodes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A node of an HDM schema.
@@ -10,7 +9,7 @@ use std::fmt;
 /// table `t` becomes a node `⟨⟨t⟩⟩` whose extent is the bag of primary-key values, and
 /// each column `c` becomes an edge between `⟨⟨t⟩⟩` and a node holding the column's
 /// values.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Node {
     /// The node's name, unique within its schema.
     pub name: String,

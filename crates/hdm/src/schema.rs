@@ -4,14 +4,13 @@ use crate::constraint::Constraint;
 use crate::edge::{Edge, HdmRef};
 use crate::error::HdmError;
 use crate::node::Node;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An HDM schema: a set of nodes, a set of hyperedges over them, and constraints.
 ///
 /// Element collections are kept in `BTreeMap`s so that iteration order (and therefore
 /// serialisation, display and derived schema construction) is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HdmSchema {
     /// Schema name (unique within a repository).
     pub name: String,

@@ -4,12 +4,11 @@
 //! (nested bags, named records) lives in the IQL layer; at the HDM level every extent
 //! row is a [`HdmTuple`] of [`HdmValue`]s.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A scalar value stored in an HDM extent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum HdmValue {
     /// Absent / unknown value.
     Null,

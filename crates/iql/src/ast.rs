@@ -1,6 +1,5 @@
 //! The IQL abstract syntax tree.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -9,7 +8,7 @@ use std::hash::{Hash, Hasher};
 /// Scheme parts follow the paper's abbreviated relational convention: a single part
 /// names a table, two parts name a column of a table. Longer schemes (including an
 /// explicit modelling-language prefix such as `sql`) are also representable.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SchemeRef {
     /// The scheme elements, e.g. `["protein", "accession_num"]`.
     pub parts: Vec<String>,
@@ -67,7 +66,7 @@ impl fmt::Display for SchemeRef {
 /// syntax cannot spell one, but programmatically built expressions can, and
 /// cache keying relies on `Eq`'s reflexivity holding for every constructible
 /// `Expr`. Hashing canonicalises every `NaN` to one bit pattern, consistently.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Literal {
     /// 64-bit integer.
     Int(i64),
@@ -150,7 +149,7 @@ impl fmt::Display for Literal {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Equality `=`.
     Eq,
@@ -217,7 +216,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation `-`.
     Neg,
@@ -226,7 +225,7 @@ pub enum UnOp {
 }
 
 /// Patterns used on the left of generators and `let` bindings.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// Bind the whole value to a variable.
     Var(String),
@@ -270,7 +269,7 @@ impl fmt::Display for Pattern {
 }
 
 /// A qualifier on the right-hand side of a comprehension.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Qualifier {
     /// `pattern <- source`: iterate over the bag produced by `source`, binding the
     /// pattern for each element.
@@ -286,7 +285,7 @@ pub enum Qualifier {
 /// `Expr` implements [`Eq`] and [`Hash`] (see [`Literal`] for the float caveat),
 /// which is what lets the [`crate::PlanCache`] key cached plans by the expression
 /// itself instead of pretty-printing a string key on every lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A literal constant.
     Lit(Literal),

@@ -1,11 +1,9 @@
-//! Body codec: primitives and [`iql::Value`] trees in the wire's byte layout.
-//!
-//! The scalar tags deliberately match the commit log's record encoding
-//! (`relational::wal`), extended with the collection variants query results
-//! need — a result row can be a tuple of scalars, and whole bags nest inside
-//! values returned by aggregate queries:
+//! The one byte codec of the workspace: the commit log
+//! (`relational::wal`) and the wire protocol (`wire`) both write and read
+//! [`Value`] trees, strings and checksummed frames through this module.
 //!
 //! ```text
+//! frame := [u32 LE payload length] [u32 LE FNV-1a checksum of payload] [payload]
 //! value := 0x00                         -- Null
 //!        | 0x01 [u8 0|1]                -- Bool
 //!        | 0x02 [i64 LE]                -- Int
@@ -18,13 +16,28 @@
 //! str   := [u32 LE byte length] [UTF-8 bytes]
 //! ```
 //!
+//! The commit log stores scalars only (tags 0x00–0x04); query results and
+//! parameters over the wire use the collection tags too.
+//!
 //! Every decoder is bounds-checked and returns [`CodecError`] instead of
-//! panicking: a malformed body must surface as a typed protocol error, never
+//! panicking, and [`get_value`] refuses trees nested deeper than
+//! [`MAX_NESTING`]: a malformed body must surface as a typed error, never
 //! take a session down.
 
-use iql::value::{Bag, Value};
+use crate::value::{Bag, Value};
 
-/// A body failed to decode (truncated, bad tag, bad UTF-8, trailing bytes).
+/// The deepest nesting any input may reach: tuples and bags inside a decoded
+/// value, and brackets, operators and applications inside parsed query text
+/// ([`crate::parse`]). Decoding, parsing and every recursive walk downstream
+/// (evaluation, printing, hashing, dropping) recurse once per level, so an
+/// unbounded depth would let one request overflow a thread's stack.
+pub const MAX_NESTING: usize = 64;
+
+/// Bytes of a frame header: payload length, then checksum.
+pub const FRAME_HEADER: usize = 8;
+
+/// A body failed to decode (truncated, bad tag, bad UTF-8, too deep,
+/// trailing bytes, checksum mismatch).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError(pub String);
 
@@ -167,40 +180,47 @@ pub fn put_value(out: &mut Vec<u8>, value: &Value) {
     }
 }
 
-/// Decode one value tree.
+/// Decode one value tree, refusing one nested deeper than [`MAX_NESTING`].
 pub fn get_value(c: &mut Cursor<'_>) -> Result<Value, CodecError> {
+    get_nested(c, 0)
+}
+
+/// Decode a value that sits inside `depth` enclosing tuples and bags.
+fn get_nested(c: &mut Cursor<'_>, depth: usize) -> Result<Value, CodecError> {
     Ok(match get_u8(c)? {
         0x00 => Value::Null,
         0x01 => Value::Bool(get_u8(c)? != 0),
         0x02 => Value::Int(i64::from_le_bytes(c.take(8)?.try_into().expect("8 bytes"))),
         0x03 => Value::Float(f64::from_bits(get_u64(c)?)),
         0x04 => Value::Str(get_str(c)?.into()),
-        0x05 => {
-            let arity = get_u32(c)? as usize;
-            if arity > c.remaining() {
-                return fail(format!("tuple arity {arity} exceeds the remaining body"));
+        tag @ (0x05 | 0x06) => {
+            if depth == MAX_NESTING {
+                return fail(format!("value nests deeper than {MAX_NESTING} levels"));
             }
-            let mut items = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                items.push(get_value(c)?);
+            let items = get_items(c, depth + 1)?;
+            if tag == 0x05 {
+                Value::Tuple(items.into())
+            } else {
+                Value::Bag(Bag::from_values(items))
             }
-            Value::Tuple(items.into())
-        }
-        0x06 => {
-            let len = get_u32(c)? as usize;
-            if len > c.remaining() {
-                return fail(format!("bag length {len} exceeds the remaining body"));
-            }
-            let mut items = Vec::with_capacity(len);
-            for _ in 0..len {
-                items.push(get_value(c)?);
-            }
-            Value::Bag(Bag::from_values(items))
         }
         0x07 => Value::Void,
         0x08 => Value::Any,
         tag => return fail(format!("unknown value tag 0x{tag:02x}")),
     })
+}
+
+/// Decode `[u32 LE count] value*`, each value at `depth`.
+fn get_items(c: &mut Cursor<'_>, depth: usize) -> Result<Vec<Value>, CodecError> {
+    let count = get_u32(c)? as usize;
+    if count > c.remaining() {
+        return fail(format!("value count {count} exceeds the remaining body"));
+    }
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(get_nested(c, depth)?);
+    }
+    Ok(items)
 }
 
 /// Encode a list of values (`[u32 count] value*`).
@@ -213,19 +233,11 @@ pub fn put_values(out: &mut Vec<u8>, values: &[Value]) {
 
 /// Decode a list of values.
 pub fn get_values(c: &mut Cursor<'_>) -> Result<Vec<Value>, CodecError> {
-    let count = get_u32(c)? as usize;
-    if count > c.remaining() {
-        return fail(format!("value count {count} exceeds the remaining body"));
-    }
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(get_value(c)?);
-    }
-    Ok(values)
+    get_items(c, 0)
 }
 
 /// Encode a parameter binding set as sorted `(name, value)` pairs.
-pub fn put_params(out: &mut Vec<u8>, params: &iql::Params) {
+pub fn put_params(out: &mut Vec<u8>, params: &crate::Params) {
     let mut names: Vec<&str> = params.names().collect();
     names.sort_unstable();
     put_u32(out, names.len() as u32);
@@ -236,18 +248,72 @@ pub fn put_params(out: &mut Vec<u8>, params: &iql::Params) {
 }
 
 /// Decode a parameter binding set.
-pub fn get_params(c: &mut Cursor<'_>) -> Result<iql::Params, CodecError> {
+pub fn get_params(c: &mut Cursor<'_>) -> Result<crate::Params, CodecError> {
     let count = get_u32(c)? as usize;
     if count > c.remaining() {
         return fail(format!("param count {count} exceeds the remaining body"));
     }
-    let mut params = iql::Params::new();
+    let mut params = crate::Params::new();
     for _ in 0..count {
         let name = get_str(c)?;
         let value = get_value(c)?;
         params.set(name, value);
     }
     Ok(params)
+}
+
+/// 32-bit FNV-1a: tiny, dependency-free, and plenty to catch torn writes
+/// and bit rot. It detects corruption; it is not an integrity check against
+/// an adversary.
+pub fn fnv1a(bytes: &[u8]) -> u32 {
+    let mut hash: u32 = 0x811c_9dc5;
+    for &b in bytes {
+        hash ^= u32::from(b);
+        hash = hash.wrapping_mul(0x0100_0193);
+    }
+    hash
+}
+
+/// Reserve a frame header at the end of `out` and return where the frame
+/// starts; write the payload after it, then seal it with [`end_frame`].
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    start
+}
+
+/// Fill in the header reserved at `start` with the length and checksum of
+/// everything written after it.
+pub fn end_frame(out: &mut [u8], start: usize) {
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
+}
+
+/// The payload length declared by the frame header at the front of `bytes`,
+/// or `None` while fewer than [`FRAME_HEADER`] bytes are there.
+pub fn frame_len(bytes: &[u8]) -> Option<usize> {
+    if bytes.len() < FRAME_HEADER {
+        return None;
+    }
+    Some(u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize)
+}
+
+/// The checksummed payload of the frame at the front of `bytes`: `Ok(None)`
+/// while the frame is incomplete, an error when the checksum does not match.
+/// The frame spans `FRAME_HEADER + payload.len()` bytes.
+pub fn frame_payload(bytes: &[u8]) -> Result<Option<&[u8]>, CodecError> {
+    let Some(len) = frame_len(bytes) else {
+        return Ok(None);
+    };
+    let Some(payload) = bytes.get(FRAME_HEADER..FRAME_HEADER.saturating_add(len)) else {
+        return Ok(None);
+    };
+    let checksum = u32::from_le_bytes(bytes[4..FRAME_HEADER].try_into().expect("4 bytes"));
+    if fnv1a(payload) != checksum {
+        return fail("payload checksum mismatch");
+    }
+    Ok(Some(payload))
 }
 
 #[cfg(test)]
@@ -329,7 +395,7 @@ mod tests {
 
     #[test]
     fn params_round_trip() {
-        let params = iql::Params::new()
+        let params = crate::Params::new()
             .with("acc", "AC'C1")
             .with("n", 7i64)
             .with(
@@ -345,6 +411,26 @@ mod tests {
         assert_eq!(back.get("n"), params.get("n"));
         assert_eq!(back.get("bag"), params.get("bag"));
         assert_eq!(back.len(), 3);
+    }
+
+    /// `depth` one-element tuples wrapped around `Null`.
+    fn nested_tuples(depth: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for _ in 0..depth {
+            put_u8(&mut out, 0x05);
+            put_u32(&mut out, 1);
+        }
+        put_u8(&mut out, 0x00);
+        out
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        assert!(get_value(&mut Cursor::new(&nested_tuples(MAX_NESTING))).is_ok());
+        for depth in [MAX_NESTING + 1, 200_000] {
+            let err = get_value(&mut Cursor::new(&nested_tuples(depth))).unwrap_err();
+            assert!(err.0.contains("nests deeper"), "{err}");
+        }
     }
 
     #[test]

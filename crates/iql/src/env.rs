@@ -3,7 +3,6 @@
 use crate::ast::{Literal, Pattern};
 use crate::error::EvalError;
 use crate::value::Value;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -24,7 +23,7 @@ use std::sync::Arc;
 /// assert_eq!(params.get("accession"), Some(&Value::str("ACC00001")));
 /// assert_eq!(params.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Params {
     map: BTreeMap<String, Value>,
 }

@@ -747,6 +747,27 @@ impl<P: ExtentProvider> Evaluator<P> {
         }
     }
 
+    /// This evaluator with the columnar engine off, for the row re-run after
+    /// a columnar error. Everything beneath the re-run stays on the row
+    /// engine: were nested comprehensions to try columnar again, a failing
+    /// chain `d` deep would cost 2^d - 1 re-runs instead of `d`.
+    fn row_engine(&self) -> Evaluator<&dyn ExtentProvider> {
+        Evaluator {
+            provider: &self.provider,
+            use_planner: self.use_planner,
+            reorder: self.reorder,
+            bushy: self.bushy,
+            parallel: self.parallel,
+            use_index: self.use_index,
+            columnar: false,
+            plan_cache: self.plan_cache.clone(),
+            index_store: self.index_store.clone(),
+            step_probe: self.step_probe.clone(),
+            engine_stats: self.engine_stats.clone(),
+            reopt_factor: self.reopt_factor,
+        }
+    }
+
     /// Evaluate an expression in an empty environment.
     pub fn eval_closed(&self, expr: &Expr) -> Result<Value, EvalError> {
         self.eval(expr, &Env::new())
@@ -820,7 +841,8 @@ impl<P: ExtentProvider> Evaluator<P> {
                             // exactly the row engine's.
                             Err(_) => {
                                 self.record_engine(ExecEngine::Row);
-                                self.exec_plan(head, &plan.steps, env, &mut out)?;
+                                self.row_engine()
+                                    .exec_plan(head, &plan.steps, env, &mut out)?;
                             }
                         },
                         None => {

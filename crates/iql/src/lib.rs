@@ -40,7 +40,10 @@
 //! * [`builtins`] — the built-in function library (`count`, `sum`, `distinct`, …);
 //! * [`rewrite`] — query rewriting utilities used by GAV unfolding and pathway
 //!   reformulation (scheme substitution, renaming, free-scheme collection);
-//! * [`pretty`] — a pretty-printer that round-trips through the parser.
+//! * [`pretty`] — a pretty-printer that round-trips through the parser;
+//! * [`codec`] — the byte layout of values, strings and checksummed frames
+//!   shared by the commit log and the wire protocol, and [`codec::MAX_NESTING`],
+//!   the depth bound both the decoder and the parser enforce.
 //!
 //! ## Quick example
 //!
@@ -58,6 +61,7 @@
 pub mod ast;
 pub mod builtins;
 pub mod bushy;
+pub mod codec;
 pub mod env;
 pub mod error;
 pub mod eval;

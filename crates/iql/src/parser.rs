@@ -1,6 +1,17 @@
 //! Recursive-descent parser for IQL.
+//!
+//! The parser refuses input nested deeper than [`MAX_NESTING`] levels with a
+//! [`ParseError`], so that neither it nor a recursive walk over the tree it
+//! returns can overflow a thread's stack. One level down is: a
+//! sub-expression in brackets, in a function's arguments or in a `let`/`if`;
+//! the operand of a prefix operator (`-(e)` counts once, the way the printer
+//! writes it); the operands of a binary operator (a left-associated chain
+//! `a + b + c` is two levels deep, as its tree is); and the parts of a tuple
+//! pattern. Printing a parsed expression never deepens it, so printed text
+//! parses back.
 
 use crate::ast::{BinOp, Expr, Literal, Pattern, Qualifier, SchemeRef, UnOp};
+use crate::codec::MAX_NESTING;
 use crate::error::ParseError;
 use crate::lexer::lex;
 use crate::token::{Spanned, Token};
@@ -9,6 +20,11 @@ use crate::token::{Spanned, Token};
 pub struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Levels open around the current token.
+    depth: usize,
+    /// The deepest level reached since the innermost [`Parser::measured`]
+    /// call began.
+    deepest: usize,
 }
 
 impl Parser {
@@ -17,14 +33,54 @@ impl Parser {
         Ok(Parser {
             tokens: lex(input)?,
             pos: 0,
+            depth: 0,
+            deepest: 0,
         })
     }
 
     /// Parse a complete expression; trailing input is an error.
     pub fn parse_expr_complete(&mut self) -> Result<Expr, ParseError> {
-        let expr = self.parse_expr()?;
+        let expr = self.parse_form()?;
         self.expect(Token::Eof)?;
         Ok(expr)
+    }
+
+    /// Record that the tree reaches `depth` levels, refusing it past
+    /// [`MAX_NESTING`].
+    fn reach(&mut self, depth: usize) -> Result<(), ParseError> {
+        if depth > MAX_NESTING {
+            return Err(ParseError::new(
+                format!("expression nests deeper than {MAX_NESTING} levels"),
+                self.peek_offset(),
+            ));
+        }
+        self.deepest = self.deepest.max(depth);
+        Ok(())
+    }
+
+    /// Parse with `f` one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.reach(self.depth + 1)?;
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Parse with `f`, also returning how many levels below the current one
+    /// the parsed tree reaches.
+    fn measured<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<(T, usize), ParseError> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
+        let parsed = f(self)?;
+        let height = self.deepest - self.depth;
+        self.deepest = self.deepest.max(outer);
+        Ok((parsed, height))
     }
 
     fn peek(&self) -> &Token {
@@ -64,8 +120,13 @@ impl Parser {
         }
     }
 
-    /// Top-level expression: `Range`, `let`, `if` or a binary-operator expression.
+    /// A sub-expression, one level deeper than the expression around it.
     pub fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(|p| p.parse_form())
+    }
+
+    /// An expression: `Range`, `let`, `if` or a binary-operator expression.
+    fn parse_form(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Token::Range => {
                 self.advance();
@@ -107,7 +168,7 @@ impl Parser {
     }
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_unary()?;
+        let (mut lhs, mut height) = self.measured(|p| p.parse_unary())?;
         loop {
             let op = match self.peek() {
                 Token::Or => BinOp::Or,
@@ -131,7 +192,11 @@ impl Parser {
                 break;
             }
             self.advance();
-            let rhs = self.parse_binary(prec + 1)?;
+            let (rhs, rhs_height) = self.measured(|p| p.parse_binary(prec + 1))?;
+            // The operator node sits above both operands: a left-associated
+            // chain grows one level per operator.
+            height = height.max(rhs_height) + 1;
+            self.reach(self.depth + height)?;
             lhs = Expr::BinOp {
                 op,
                 lhs: Box::new(lhs),
@@ -145,7 +210,7 @@ impl Parser {
         match self.peek() {
             Token::Minus => {
                 self.advance();
-                let expr = self.parse_unary()?;
+                let expr = self.parse_prefixed()?;
                 Ok(Expr::UnOp {
                     op: UnOp::Neg,
                     expr: Box::new(expr),
@@ -153,13 +218,23 @@ impl Parser {
             }
             Token::Not => {
                 self.advance();
-                let expr = self.parse_unary()?;
+                let expr = self.parse_prefixed()?;
                 Ok(Expr::UnOp {
                     op: UnOp::Not,
                     expr: Box::new(expr),
                 })
             }
             _ => self.parse_application(),
+        }
+    }
+
+    /// The operand of a prefix operator, one level deeper — unless it opens
+    /// with `(`, whose level it shares.
+    fn parse_prefixed(&mut self) -> Result<Expr, ParseError> {
+        if *self.peek() == Token::LParen {
+            self.parse_unary()
+        } else {
+            self.nested(|p| p.parse_unary())
         }
     }
 
@@ -188,10 +263,11 @@ impl Parser {
                         args,
                     });
                 }
-                // Juxtaposition style: one or more operands.
+                // Juxtaposition style: one or more operands, each a level
+                // deeper, as each expression in a parenthesised list is.
                 let mut args = Vec::new();
                 while self.starts_operand() {
-                    args.push(self.parse_operand()?);
+                    args.push(self.nested(|p| p.parse_operand())?);
                 }
                 return Ok(Expr::Apply {
                     function: name,
@@ -437,7 +513,7 @@ impl Parser {
                 let mut parts = Vec::new();
                 if !self.eat(&Token::RBrace) {
                     loop {
-                        parts.push(self.parse_pattern()?);
+                        parts.push(self.nested(|p| p.parse_pattern())?);
                         if self.eat(&Token::Comma) {
                             continue;
                         }

@@ -14,7 +14,6 @@
 //! number, and `-0.0 == 0.0`; the hash canonicalises both the same way, so ordering,
 //! equality and hash-based ops agree on every float.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
@@ -25,7 +24,7 @@ use std::sync::Arc;
 use crate::error::EvalError;
 
 /// A runtime IQL value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Absent / unknown.
     Null,
@@ -303,7 +302,7 @@ impl fmt::Display for Value {
 /// The element vector is shared behind an `Arc`: cloning a bag is O(1), and mutation
 /// (`push`) copies only when the elements are actually shared (copy-on-write). This is
 /// what lets extent caches hand out their bags without deep copies.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Bag {
     items: Arc<Vec<Value>>,
 }

@@ -5,7 +5,6 @@ use crate::name::name_similarity;
 use automed::wrapper::SourceRegistry;
 use automed::Schema;
 use iql::ast::SchemeRef;
-use serde::Serialize;
 
 /// Matcher configuration.
 #[derive(Debug, Clone)]
@@ -34,7 +33,7 @@ impl Default for MatchConfig {
 
 /// A suggested correspondence between an object of the left schema and an object of
 /// the right schema.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchSuggestion {
     /// Scheme in the left schema.
     pub left: SchemeRef,
@@ -49,7 +48,7 @@ pub struct MatchSuggestion {
 }
 
 /// Precision/recall of a suggestion list against a ground-truth set of pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchQuality {
     /// Fraction of suggestions that are correct.
     pub precision: f64,

@@ -14,10 +14,9 @@ use dataspace_core::dataspace::{Dataspace, DataspaceConfig};
 use dataspace_core::error::CoreError;
 use dataspace_core::metrics::{MethodologyComparison, PayAsYouGoPoint};
 use dataspace_core::workflow::{IntegrationSession, IterationOutcome};
-use serde::Serialize;
 
 /// The answer to one priority query in the final global schema.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QueryAnswer {
     /// Query name (`Q1`…`Q7`).
     pub name: String,

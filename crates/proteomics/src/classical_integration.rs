@@ -36,7 +36,6 @@ use dataspace_core::error::CoreError;
 use dataspace_core::mapping::parse_scheme_key;
 use dataspace_core::tool::default_forward_query;
 use iql::ast::Expr;
-use serde::Serialize;
 
 /// One reconstructed correspondence between a source object and a global-schema object.
 #[derive(Debug, Clone)]
@@ -198,7 +197,7 @@ pub fn pepseeker_to_gs2() -> Vec<Correspondence> {
 }
 
 /// One stage of the classical integration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClassicalStage {
     /// Stage name (`GS1`, `GS2`, `GS3`).
     pub name: String,

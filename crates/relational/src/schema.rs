@@ -1,13 +1,12 @@
 //! Relational schema descriptions.
 
 use crate::error::RelError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Column data types. Deliberately small; the dataspace layer cares about structure
 /// and values, not about a full SQL type system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataType {
     /// 64-bit integer.
     Int,
@@ -31,7 +30,7 @@ impl fmt::Display for DataType {
 }
 
 /// A column of a relational table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelColumn {
     /// Column name.
     pub name: String,
@@ -62,7 +61,7 @@ impl RelColumn {
 }
 
 /// A foreign-key declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForeignKey {
     /// Referencing columns in this table.
     pub columns: Vec<String>,
@@ -73,7 +72,7 @@ pub struct ForeignKey {
 }
 
 /// A relational table: ordered columns, a primary key and foreign keys.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelTable {
     /// Table name.
     pub name: String,
@@ -186,7 +185,7 @@ impl RelTable {
 }
 
 /// A relational schema: a named collection of tables.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelSchema {
     /// Schema (data source) name.
     pub name: String,

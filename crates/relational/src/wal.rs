@@ -15,22 +15,20 @@
 //! [8-byte magic "DSWAL\0\0\x01"]
 //! [record]*
 //!
-//! record  := [u32 LE payload length] [u32 LE FNV-1a checksum of payload] [payload]
+//! record  := frame of [payload]
 //! payload := [u64 LE snapshot id] [str source] [str table]
 //!            [u32 LE row count] ([u32 LE column count] [value]*)*
-//! str     := [u32 LE byte length] [UTF-8 bytes]
-//! value   := 0x00                        -- Null
-//!          | 0x01 [u8 0|1]               -- Bool
-//!          | 0x02 [i64 LE]               -- Int
-//!          | 0x03 [u64 LE float bits]    -- Float
-//!          | 0x04 [str]                  -- Str
 //! ```
 //!
-//! Rows hold scalars only (the schema type checker admits nothing else), so
-//! five value tags cover every storable value. Recovery reads records until
-//! the first torn or corrupt one — a partial length/checksum/payload at the
-//! tail is the signature of a crash mid-append — **truncates** the file back
-//! to the last whole record, and reports how many bytes were dropped. A
+//! `frame`, `str` and `value` are the shared byte layouts of [`iql::codec`]
+//! (the wire protocol uses the same ones). Rows hold scalars only (the
+//! schema type checker admits nothing else), so a record uses the five
+//! scalar value tags 0x00–0x04: appending a tuple, bag, `Void` or `Any` is
+//! refused, and a record holding one is as bad as a corrupt one. Recovery
+//! reads records until the first torn or corrupt one — a partial
+//! length/checksum/payload at the tail is the signature of a crash
+//! mid-append — **truncates** the file back to the last whole record, and
+//! reports how many bytes were dropped. A
 //! corrupt record therefore never poisons the log: everything durably
 //! committed before it survives.
 //!
@@ -42,6 +40,10 @@
 //! bounded file size — via a temp file + atomic rename.
 
 use crate::store::Row;
+use iql::codec::{
+    begin_frame, end_frame, frame_payload, get_str, get_u32, get_u64, get_values, put_str, put_u32,
+    put_u64, put_values, CodecError, Cursor, FRAME_HEADER,
+};
 use iql::value::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -176,11 +178,24 @@ impl CommitLog {
 
     /// Append one committed batch to the log.
     pub fn append(&mut self, record: &LogRecord) -> io::Result<()> {
-        let payload = encode_payload(record)?;
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        if let Some(other) = record.rows.iter().flatten().find(|v| !is_scalar(v)) {
+            // Unreachable through the insert path: the schema type checker
+            // admits scalars only. Refuse rather than log an unstorable value.
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("commit log cannot encode non-scalar value {other:?}"),
+            ));
+        }
+        let mut framed = Vec::new();
+        let start = begin_frame(&mut framed);
+        put_u64(&mut framed, record.snapshot);
+        put_str(&mut framed, &record.source);
+        put_str(&mut framed, &record.table);
+        put_u32(&mut framed, record.rows.len() as u32);
+        for row in &record.rows {
+            put_values(&mut framed, row);
+        }
+        end_frame(&mut framed, start);
         self.file.write_all(&framed)?;
         if self.fsync {
             self.file.sync_data()?;
@@ -258,144 +273,44 @@ impl CommitLog {
     }
 }
 
-/// 32-bit FNV-1a over the payload: tiny, dependency-free, and plenty to catch
-/// torn writes and bit rot (this is corruption *detection* for recovery, not
-/// an adversarial integrity check).
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
-fn encode_payload(record: &LogRecord) -> io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&record.snapshot.to_le_bytes());
-    encode_str(&mut out, &record.source);
-    encode_str(&mut out, &record.table);
-    out.extend_from_slice(&(record.rows.len() as u32).to_le_bytes());
-    for row in &record.rows {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for value in row {
-            encode_value(&mut out, value)?;
-        }
-    }
-    Ok(out)
-}
-
-fn encode_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn encode_value(out: &mut Vec<u8>, value: &Value) -> io::Result<()> {
-    match value {
-        Value::Null => out.push(0x00),
-        Value::Bool(b) => {
-            out.push(0x01);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(0x02);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(0x03);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(0x04);
-            encode_str(out, s);
-        }
-        other => {
-            // Unreachable through the insert path: the schema type checker
-            // admits scalars only. Refuse rather than invent an encoding.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("commit log cannot encode non-scalar value {other:?}"),
-            ));
-        }
-    }
-    Ok(())
+/// The values a table row can hold: everything else has no storable type.
+fn is_scalar(value: &Value) -> bool {
+    matches!(
+        value,
+        Value::Null | Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_)
+    )
 }
 
 /// Decode the record framed at `offset`. `None` means the tail from `offset`
 /// on is not one whole, checksummed, well-formed record — i.e. the torn/corrupt
 /// boundary recovery truncates at.
 fn read_record(bytes: &[u8], offset: usize) -> Option<(LogRecord, usize)> {
-    if offset == bytes.len() {
-        return None; // clean end
-    }
-    let header = bytes.get(offset..offset + 8)?;
-    let len = u32::from_le_bytes(header[..4].try_into().ok()?) as usize;
-    let checksum = u32::from_le_bytes(header[4..8].try_into().ok()?);
-    let payload = bytes.get(offset + 8..offset + 8 + len)?;
-    if fnv1a(payload) != checksum {
-        return None;
-    }
-    let record = decode_payload(payload)?;
-    Some((record, offset + 8 + len))
+    let payload = frame_payload(&bytes[offset..]).ok()??;
+    let record = decode_payload(payload).ok()?;
+    Some((record, offset + FRAME_HEADER + payload.len()))
 }
 
-fn decode_payload(payload: &[u8]) -> Option<LogRecord> {
-    let mut cursor = 0usize;
-    let snapshot = u64::from_le_bytes(take(payload, &mut cursor, 8)?.try_into().ok()?);
-    let source = decode_str(payload, &mut cursor)?;
-    let table = decode_str(payload, &mut cursor)?;
-    let row_count = decode_u32(payload, &mut cursor)? as usize;
-    let mut rows = Vec::with_capacity(row_count.min(payload.len()));
+fn decode_payload(payload: &[u8]) -> Result<LogRecord, CodecError> {
+    let mut c = Cursor::new(payload);
+    let snapshot = get_u64(&mut c)?;
+    let source = get_str(&mut c)?;
+    let table = get_str(&mut c)?;
+    let row_count = get_u32(&mut c)? as usize;
+    let mut rows = Vec::with_capacity(row_count.min(c.remaining()));
     for _ in 0..row_count {
-        let arity = decode_u32(payload, &mut cursor)? as usize;
-        let mut row = Vec::with_capacity(arity.min(payload.len()));
-        for _ in 0..arity {
-            row.push(decode_value(payload, &mut cursor)?);
+        let row = get_values(&mut c)?;
+        if !row.iter().all(is_scalar) {
+            return Err(CodecError("a row holds a non-scalar value".into()));
         }
         rows.push(row);
     }
-    if cursor != payload.len() {
-        return None; // trailing garbage inside a "valid" frame
-    }
-    Some(LogRecord {
+    // Trailing garbage inside a "valid" frame is corruption too.
+    c.finish()?;
+    Ok(LogRecord {
         snapshot,
         source,
         table,
         rows,
-    })
-}
-
-fn take<'a>(payload: &'a [u8], cursor: &mut usize, n: usize) -> Option<&'a [u8]> {
-    let slice = payload.get(*cursor..*cursor + n)?;
-    *cursor += n;
-    Some(slice)
-}
-
-fn decode_u32(payload: &[u8], cursor: &mut usize) -> Option<u32> {
-    Some(u32::from_le_bytes(
-        take(payload, cursor, 4)?.try_into().ok()?,
-    ))
-}
-
-fn decode_str(payload: &[u8], cursor: &mut usize) -> Option<String> {
-    let len = decode_u32(payload, cursor)? as usize;
-    let bytes = take(payload, cursor, len)?;
-    String::from_utf8(bytes.to_vec()).ok()
-}
-
-fn decode_value(payload: &[u8], cursor: &mut usize) -> Option<Value> {
-    let tag = take(payload, cursor, 1)?[0];
-    Some(match tag {
-        0x00 => Value::Null,
-        0x01 => Value::Bool(take(payload, cursor, 1)?[0] != 0),
-        0x02 => Value::Int(i64::from_le_bytes(
-            take(payload, cursor, 8)?.try_into().ok()?,
-        )),
-        0x03 => Value::Float(f64::from_bits(u64::from_le_bytes(
-            take(payload, cursor, 8)?.try_into().ok()?,
-        ))),
-        0x04 => Value::Str(decode_str(payload, cursor)?.into()),
-        _ => return None,
     })
 }
 

@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 use iql::value::Value;
 use iql::Params;
 
-use crate::codec::CodecError;
 use crate::frame::{write_frame, Frame, FrameError, FrameReader, SERVER_ORIGIN_ID};
 use crate::proto::{ErrorCode, PushUpdate, Request, Response};
+use iql::codec::CodecError;
 
 /// Why a client call failed.
 #[derive(Debug)]

@@ -1,11 +1,11 @@
 //! Frame layer: length-prefixed, checksummed envelopes on a byte stream.
 //!
 //! Every message on the wire — request, response or server push — travels in
-//! one frame, reusing the commit log's record-framing discipline
-//! (`relational::wal`): a little-endian length, a FNV-1a checksum over the
-//! payload, then the payload itself. The payload opens with a protocol
-//! version byte, the request id the frame belongs to, and the opcode that
-//! selects the body's shape:
+//! one frame, the same checksummed framing the commit log uses for its
+//! records ([`iql::codec`] writes and checks both): a little-endian length, a
+//! FNV-1a checksum over the payload, then the payload itself. The payload
+//! opens with a protocol version byte, the request id the frame belongs to,
+//! and the opcode that selects the body's shape:
 //!
 //! ```text
 //! frame   := [u32 LE payload length] [u32 LE FNV-1a checksum of payload] [payload]
@@ -25,6 +25,7 @@
 //! malformed payload head means the stream has lost framing — the peer closes
 //! the connection, because no later byte boundary can be trusted.
 
+use iql::codec::{begin_frame, end_frame, frame_len, frame_payload, put_u64, put_u8, FRAME_HEADER};
 use std::io::{self, Read, Write};
 
 /// Protocol version carried in every payload head.
@@ -35,9 +36,6 @@ pub const WIRE_VERSION: u8 = 1;
 /// `server::ServerConfig::chunk_rows`), so the cap only stops hostile or
 /// corrupt length declarations from driving allocation.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
-
-/// Frame header size on the wire: length + checksum.
-const FRAME_HEADER: usize = 8;
 
 /// Payload head size: version byte + request id + opcode.
 const PAYLOAD_HEAD: usize = 1 + 8 + 1;
@@ -96,27 +94,15 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// 32-bit FNV-1a — the same corruption check the commit log uses.
-pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
 /// Encode one frame ready for a single `write_all`.
 pub fn encode_frame(request_id: u64, opcode: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAYLOAD_HEAD + body.len());
-    payload.push(WIRE_VERSION);
-    payload.extend_from_slice(&request_id.to_le_bytes());
-    payload.push(opcode);
-    payload.extend_from_slice(body);
-    let mut framed = Vec::with_capacity(FRAME_HEADER + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    framed.extend_from_slice(&payload);
+    let mut framed = Vec::with_capacity(FRAME_HEADER + PAYLOAD_HEAD + body.len());
+    let start = begin_frame(&mut framed);
+    put_u8(&mut framed, WIRE_VERSION);
+    put_u64(&mut framed, request_id);
+    put_u8(&mut framed, opcode);
+    framed.extend_from_slice(body);
+    end_frame(&mut framed, start);
     framed
 }
 
@@ -194,10 +180,9 @@ impl FrameReader {
 
     /// Decode one frame from the front of the buffer, if a whole one is there.
     fn try_decode(&mut self) -> Result<Option<Frame>, FrameError> {
-        if self.buf.len() < FRAME_HEADER {
+        let Some(len) = frame_len(&self.buf) else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        };
         if len > MAX_FRAME_BYTES {
             return Err(FrameError::TooLarge { declared: len });
         }
@@ -206,14 +191,10 @@ impl FrameReader {
                 "declared payload of {len} bytes is shorter than the {PAYLOAD_HEAD}-byte head"
             )));
         }
-        if self.buf.len() < FRAME_HEADER + len {
+        let Some(payload) = frame_payload(&self.buf).map_err(|e| FrameError::Malformed(e.0))?
+        else {
             return Ok(None);
-        }
-        let checksum = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes"));
-        let payload = &self.buf[FRAME_HEADER..FRAME_HEADER + len];
-        if fnv1a(payload) != checksum {
-            return Err(FrameError::Malformed("payload checksum mismatch".into()));
-        }
+        };
         let version = payload[0];
         if version != WIRE_VERSION {
             return Err(FrameError::Version { got: version });
@@ -234,6 +215,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iql::codec::fnv1a;
 
     /// Feed `bytes` to a reader in `chunk`-sized slices, collecting frames.
     fn drip(bytes: &[u8], chunk: usize) -> Result<Vec<Frame>, FrameError> {

@@ -1,24 +1,23 @@
 //! Binary wire protocol for the dataspace service.
 //!
-//! Three layers, bottom-up:
+//! Two layers, bottom-up, over the byte codec in [`iql::codec`] (the one
+//! definition of value, string and frame bytes, shared with the commit log):
 //!
 //! - [`frame`] — length-prefixed, FNV-1a-checksummed envelopes on a byte
-//!   stream, reusing the commit log's record-framing discipline. Carries the
-//!   protocol version, the client-assigned request id, and an opcode.
-//! - [`codec`] — bounds-checked body encoding for primitives, [`iql::Value`]
-//!   trees and parameter bindings. Malformed input yields typed errors,
-//!   never panics.
+//!   stream. Carries the protocol version, the client-assigned request id,
+//!   and an opcode.
 //! - [`proto`] — the typed [`proto::Request`]/[`proto::Response`] surface:
 //!   prepared-statement lifecycle, chunked result streaming with client-acked
 //!   backpressure, standing subscriptions with server-push deltas, writes,
-//!   and admin ops, plus the [`proto::ErrorCode`] taxonomy.
+//!   and admin ops, plus the [`proto::ErrorCode`] taxonomy. Bodies decode
+//!   with bounds checks and a nesting limit: malformed input yields typed
+//!   errors, never panics.
 //!
-//! [`client::Client`] is a small blocking client over all three, used by the
+//! [`client::Client`] is a small blocking client over both, used by the
 //! integration tests, the benches, and `examples/serve_proteomics.rs`. The
 //! server side lives in the `server` crate.
 
 pub mod client;
-pub mod codec;
 pub mod frame;
 pub mod proto;
 

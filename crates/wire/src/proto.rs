@@ -9,7 +9,7 @@
 //! subscriptions with server-push delta frames (`Subscribe`/`Unsubscribe` +
 //! [`Response::Push`]), writes (`Insert`), and admin (`Checkpoint`/`Stats`).
 
-use crate::codec::{
+use iql::codec::{
     get_params, get_str, get_u32, get_u64, get_u8, get_value, get_values, put_params, put_str,
     put_u32, put_u64, put_u8, put_value, put_values, CodecError, Cursor,
 };

@@ -164,3 +164,30 @@ fn chained_filters_carry_the_selection_bitmap() {
         "contradictory filters must yield nothing"
     );
 }
+
+/// A failing chain of nested comprehensions falls back to the row engine once
+/// per level, not once per path through the levels: the row re-run keeps
+/// everything beneath it on the row engine. Re-entering the columnar engine
+/// there would cost 2^d - 1 fallbacks (65 535 at depth 16).
+#[test]
+fn nested_failing_comprehensions_fall_back_once_per_level() {
+    const DEPTH: usize = 16;
+    let text = format!("{}1{}", "[x | x <- ".repeat(DEPTH), "]".repeat(DEPTH));
+    let query = parse(&text).unwrap();
+    let extents = MapExtents::new();
+    let stats = Arc::new(iql::EngineStats::new());
+    let columnar = Evaluator::new(&extents)
+        .with_engine_stats(Arc::clone(&stats))
+        .eval_closed(&query)
+        .expect_err("1 is not a bag");
+    let row = Evaluator::new(&extents)
+        .with_columnar(false)
+        .eval_closed(&query)
+        .expect_err("1 is not a bag");
+    assert_eq!(columnar, row);
+    assert!(
+        stats.row_fallbacks() <= DEPTH as u64,
+        "{} row fallbacks for a {DEPTH}-deep chain",
+        stats.row_fallbacks()
+    );
+}

@@ -232,7 +232,7 @@ fn oversized_corrupt_and_misversioned_frames_close_with_typed_errors() {
     let mut frame = encode_frame(1, ReqOp::Stats as u8, &[]);
     frame[8] = 42;
     let payload_len = frame.len() - 8;
-    let checksum = wire::frame::fnv1a(&frame[8..8 + payload_len]);
+    let checksum = iql::codec::fnv1a(&frame[8..8 + payload_len]);
     frame[4..8].copy_from_slice(&checksum.to_le_bytes());
     stream.write_all(&frame).unwrap();
     let (_, response) = read_response(&mut stream).expect("a response");
@@ -489,4 +489,62 @@ fn a_subscriber_that_stops_reading_hangs_neither_writers_nor_shutdown() {
         .recv_timeout(Duration::from_secs(10))
         .expect("shutdown returned despite a subscriber that stopped reading");
     drop(subscriber);
+}
+
+/// Values nested past `iql::codec::MAX_NESTING` answer `MalformedBody` —
+/// decoding 200 000 nested tuple tags recursively would overflow the session
+/// thread's stack and abort the whole server — and the server keeps serving.
+#[test]
+fn deeply_nested_params_answer_malformed_body_and_the_server_stays_up() {
+    let (handle, addr, _ds) = serve_default();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut body = Vec::new();
+    body.extend_from_slice(&1u64.to_le_bytes()); // handle
+    body.extend_from_slice(&0u32.to_le_bytes()); // chunk_rows
+    body.extend_from_slice(&1u32.to_le_bytes()); // one param
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.push(b'p');
+    for _ in 0..200_000 {
+        body.extend_from_slice(&[0x05, 0x01, 0x00, 0x00, 0x00]); // 1-tuple of …
+    }
+    body.push(0x00); // … Null
+    stream
+        .write_all(&encode_frame(1, ReqOp::Execute as u8, &body))
+        .unwrap();
+    let (id, response) = read_response(&mut stream).expect("a response");
+    assert_eq!(id, 1);
+    assert!(
+        matches!(
+            response,
+            Response::Error {
+                code: ErrorCode::MalformedBody,
+                ..
+            }
+        ),
+        "{response:?}"
+    );
+
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.query(INCREMENTAL_SHAPE).unwrap().len(), 3);
+    client.close().unwrap();
+    assert_eq!(handle.stats().session_panics(), 0);
+    handle.shutdown();
+}
+
+/// Query text nested past the parser's limit is a parse error, not a stack
+/// overflow in the session thread.
+#[test]
+fn deeply_nested_query_text_is_a_parse_error_and_the_server_stays_up() {
+    let (handle, addr, _ds) = serve_default();
+    let mut client = Client::connect(addr).unwrap();
+    let text = format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000));
+    let err = client.prepare(&text).expect_err("too deep");
+    assert_eq!(err.server_code(), Some(ErrorCode::Parse));
+    assert_eq!(client.query(INCREMENTAL_SHAPE).unwrap().len(), 3);
+    client.close().unwrap();
+
+    let mut second = Client::connect(addr).unwrap();
+    assert_eq!(second.query(INCREMENTAL_SHAPE).unwrap().len(), 3);
+    second.close().unwrap();
+    handle.shutdown();
 }
